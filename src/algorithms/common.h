@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -178,15 +179,25 @@ struct GraphIndex {
 
   std::vector<PointId> query(const T* q, const PointSet<T>& points,
                              const SearchParams& params) const {
-    std::vector<PointId> starts{start};
-    return search_knn<Metric>(q, points, graph, starts, params);
+    return query_full(q, points, params).top_k_ids(params.k);
   }
 
   SearchResult query_full(const T* q, const PointSet<T>& points,
                           const SearchParams& params) const {
-    std::vector<PointId> starts{start};
-    return beam_search<Metric>(q, points, graph, starts, params);
+    return beam_search<Metric>(q, points, graph,
+                               std::span<const PointId>(&start, 1), params);
   }
+
+  // The index-shape interface the graph adapter drives (shared with
+  // HNSWIndex): where a search with distance view `view` starts, and the
+  // graph it then walks.
+  template <typename View>
+  PointId entry_for(const View&) const {
+    return start;
+  }
+  const Graph& search_graph() const { return graph; }
+  std::size_t size() const { return graph.size(); }
+  std::size_t memory_bytes() const { return graph.memory_bytes(); }
 };
 
 }  // namespace ann

@@ -141,8 +141,8 @@ class DynamicDiskANN {
     sp.beam_width = static_cast<std::uint32_t>(
         static_cast<double>(std::max(params.beam_width, params.k)) /
         std::max(live_frac, 0.1));
-    std::vector<PointId> starts{start_};
-    auto res = beam_search<Metric>(q, points_, graph_, starts, sp);
+    auto res = beam_search<Metric>(q, points_, graph_,
+                                   std::span<const PointId>(&start_, 1), sp);
     std::vector<Neighbor> out;
     for (const auto& nb : res.frontier) {
       if (!deleted_[nb.id]) {

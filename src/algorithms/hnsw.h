@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,31 +48,51 @@ struct HNSWIndex {
   PointId entry = kInvalidPoint;
   std::uint32_t entry_level = 0;
 
-  // Greedy descend from the entry through layers (top..target+1] with beam 1.
-  PointId descend_to(const T* q, const PointSet<T>& points,
-                     std::uint32_t target_layer) const {
+  // Greedy descent from the entry through layers (top..target+1] with beam
+  // 1. `view` supplies the distances: a RowView over full-precision rows, or
+  // a quantized view, so an evicted backend descends in the code domain.
+  template <typename View>
+  PointId descend_to(const View& view, std::uint32_t target_layer) const {
     PointId cur = entry;
-    SearchParams one{.beam_width = 1, .k = 1};
+    const SearchParams one{.beam_width = 1, .k = 1};
     for (std::uint32_t l = entry_level; l > target_layer; --l) {
-      std::vector<PointId> starts{cur};
-      auto res = beam_search<Metric>(q, points, layers[l], starts, one);
+      auto res = internal::traverse<ApproxVisitedSet>(
+          view, layers[l], std::span<const PointId>(&cur, 1), one, 1,
+          AdmitAll{}, local_search_scratch());
       if (!res.frontier.empty()) cur = res.frontier[0].id;
     }
     return cur;
   }
 
+  PointId descend_to(const T* q, const PointSet<T>& points,
+                     std::uint32_t target_layer) const {
+    return descend_to(RowView<Metric, T>(q, points), target_layer);
+  }
+
   std::vector<PointId> query(const T* q, const PointSet<T>& points,
                              const SearchParams& params) const {
-    PointId start = descend_to(q, points, 0);
-    std::vector<PointId> starts{start};
-    return search_knn<Metric>(q, points, layers[0], starts, params);
+    return query_full(q, points, params).top_k_ids(params.k);
+  }
+
+  // The index-shape interface shared with GraphIndex: searches start at the
+  // bottom layer, from the point the descent reaches.
+  template <typename View>
+  PointId entry_for(const View& view) const {
+    return descend_to(view, 0);
+  }
+  const Graph& search_graph() const { return layers[0]; }
+  std::size_t size() const { return levels.size(); }
+  std::size_t memory_bytes() const {
+    std::size_t bytes = levels.capacity() * sizeof(std::uint32_t);
+    for (const Graph& layer : layers) bytes += layer.memory_bytes();
+    return bytes;
   }
 
   SearchResult query_full(const T* q, const PointSet<T>& points,
                           const SearchParams& params) const {
     PointId start = descend_to(q, points, 0);
-    std::vector<PointId> starts{start};
-    return beam_search<Metric>(q, points, layers[0], starts, params);
+    return beam_search<Metric>(q, points, layers[0],
+                               std::span<const PointId>(&start, 1), params);
   }
 };
 
@@ -148,23 +169,16 @@ HNSWIndex<Metric, T> build_hnsw(const PointSet<T>& points,
       PointId p = batch[i];
       const std::uint32_t p_top = std::min(index.levels[p], link_top);
       out_lists[i].assign(p_top + 1, {});
-      PointId ep = index.entry;
       // Greedy descent through the layers above p's top.
-      SearchParams one{.beam_width = 1, .k = 1};
-      for (std::uint32_t dl = index.entry_level; dl > p_top; --dl) {
-        std::vector<PointId> st{ep};
-        auto res = beam_search<Metric>(points[p], points, index.layers[dl],
-                                       st, one);
-        if (!res.frontier.empty()) ep = res.frontier[0].id;
-      }
+      PointId ep = index.descend_to(points[p], points, p_top);
       // Insertion layers: efc search, prune, carry the closest point down.
       SearchParams search{.beam_width = params.ef_construction, .k = 1};
       for (std::int64_t dl = p_top; dl >= 0; --dl) {
         auto layer = static_cast<std::uint32_t>(dl);
         std::uint32_t bound = (layer == 0) ? 2 * params.m : params.m;
-        std::vector<PointId> st{ep};
         auto res = beam_search<Metric>(points[p], points, index.layers[layer],
-                                       st, search);
+                                       std::span<const PointId>(&ep, 1),
+                                       search);
         if (!res.frontier.empty()) ep = res.frontier[0].id;
         auto& ps = local_build_scratch();
         robust_prune_into<Metric>(p, res.visited, points,

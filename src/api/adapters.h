@@ -34,6 +34,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -56,8 +57,7 @@ namespace adapters {
 //
 // Owns the compressed code store, the optional mmap'd full-precision rerank
 // source, and the eviction flag — the full DiskANN memory-budget state.
-// FlatGraphBackend and HNSWBackend embed one and differ only in how they
-// drive the traversal (flat graph vs hierarchy descent).
+// GraphBackend embeds one for every graph index shape.
 template <typename Metric, typename T>
 class QuantizedTier {
  public:
@@ -238,14 +238,21 @@ std::vector<Neighbor> exact_range_scan(const PointSet<T>& points,
   return matches;
 }
 
-// --- flat-graph backends (diskann / hcnng / pynndescent) ---------------------
+// --- graph backends (diskann / sharded_diskann / hcnng / pynndescent / hnsw)
+//
+// One adapter over both index shapes: a flat GraphIndex or an HNSWIndex.
+// They differ only in where a search starts — the fixed start point, or a
+// greedy descent through the hierarchy (Index::entry_for(view), run in the
+// code domain for quantized search) — and in their payload and stats.
 
-template <typename Metric, typename T, typename Params>
-class FlatGraphBackend final : public TypedBackend<T> {
+template <typename Metric, typename T, typename Index, typename Params>
+class GraphBackend final : public TypedBackend<T> {
+  static constexpr bool kHnsw = std::is_same_v<Index, HNSWIndex<Metric, T>>;
+
  public:
-  using Builder = GraphIndex<Metric, T> (*)(const PointSet<T>&, const Params&);
+  using Builder = Index (*)(const PointSet<T>&, const Params&);
 
-  FlatGraphBackend(Params params, Builder builder)
+  GraphBackend(Params params, Builder builder)
       : params_(std::move(params)), builder_(builder) {}
 
   void build(PointSet<T> points) override {
@@ -266,21 +273,25 @@ class FlatGraphBackend final : public TypedBackend<T> {
   std::vector<Neighbor> range_search(
       const T* query, const RangeSearchParams& params) const override {
     tier_.require_raw("range_search");
-    std::vector<PointId> starts{index_.start};
-    return ann::range_search<Metric>(query, points_, index_.graph, starts,
+    const PointId start = index_.entry_for(RowView<Metric, T>(query, points_));
+    return ann::range_search<Metric>(query, points_, index_.search_graph(),
+                                     std::span<const PointId>(&start, 1),
                                      params)
         .matches;
   }
 
   bool supports_native_filtering() const override { return true; }
 
+  // The predicate applies to the final beam, exactly where the unfiltered
+  // search forms its results (HNSW's upper layers only route).
   std::vector<Neighbor> filtered_search(
       const T* query, const BoundFilter& filter,
       const QueryParams& params) const override {
     tier_.require_raw("filtered_search");
-    std::vector<PointId> starts{index_.start};
+    const PointId start = index_.entry_for(RowView<Metric, T>(query, points_));
     auto res = filtered_beam_search<Metric>(
-        query, points_, index_.graph, starts, params,
+        query, points_, index_.search_graph(),
+        std::span<const PointId>(&start, 1), params,
         [&](PointId id) { return filter.matches(id); });
     auto out = std::move(res.frontier);
     if (out.size() > params.k) out.resize(params.k);
@@ -306,9 +317,10 @@ class FlatGraphBackend final : public TypedBackend<T> {
     tier_.require_attached();
     SearchScratch& scratch = local_search_scratch();
     auto qv = tier_.store().bind(query, scratch);
-    std::vector<PointId> starts{index_.start};
-    auto res = quantized_beam_search(qv, index_.graph, starts, params,
-                                     scratch);
+    const PointId start = index_.entry_for(qv);
+    auto res = quantized_beam_search(qv, index_.search_graph(),
+                                     std::span<const PointId>(&start, 1),
+                                     params, scratch);
     tier_.finish(query, params, points_, res.frontier);
     return std::move(res.frontier);
   }
@@ -332,12 +344,26 @@ class FlatGraphBackend final : public TypedBackend<T> {
     } else {
       ioutil::write_points(f, points_, path);
     }
-    write_graph_index_payload(f, index_, path);
+    if constexpr (kHnsw) {
+      write_hnsw_index_payload(f, index_, path);
+    } else {
+      write_graph_index_payload(f, index_, path);
+    }
   }
 
   void load_payload(std::FILE* f, const std::string& path) override {
-    points_ = ioutil::read_points<T>(f, path);
-    index_ = read_graph_index_payload<Metric, T>(f, path);
+    auto points = ioutil::read_points<T>(f, path);
+    Index index;
+    if constexpr (kHnsw) {
+      index = read_hnsw_index_payload<Metric, T>(f, path);
+    } else {
+      index = read_graph_index_payload<Metric, T>(f, path);
+    }
+    if (index.size() != points.size()) {
+      throw corrupt_data("graph payload does not match points: " + path);
+    }
+    points_ = std::move(points);
+    index_ = std::move(index);
     tier_.reset();  // re-installed afterwards if the file carries a payload
   }
 
@@ -345,26 +371,34 @@ class FlatGraphBackend final : public TypedBackend<T> {
     IndexStats s;
     s.num_points = num_points();
     s.dims = tier_.evicted() ? tier_.store().dims() : points_.dims();
-    s.memory_bytes = points_.memory_bytes() + index_.graph.memory_bytes() +
-                     tier_.memory_bytes();
-    s.details = {
-        {"num_edges", static_cast<double>(index_.graph.num_edges())},
-        {"max_degree", static_cast<double>(index_.graph.max_degree())},
-        {"start", static_cast<double>(index_.start)}};
+    s.memory_bytes =
+        points_.memory_bytes() + index_.memory_bytes() + tier_.memory_bytes();
+    if constexpr (kHnsw) {
+      std::size_t bottom_edges =
+          index_.layers.empty() ? 0 : index_.layers[0].num_edges();
+      s.details = {{"num_layers", static_cast<double>(index_.layers.size())},
+                   {"entry_level", static_cast<double>(index_.entry_level)},
+                   {"bottom_edges", static_cast<double>(bottom_edges)}};
+    } else {
+      s.details = {
+          {"num_edges", static_cast<double>(index_.graph.num_edges())},
+          {"max_degree", static_cast<double>(index_.graph.max_degree())},
+          {"start", static_cast<double>(index_.start)}};
+    }
     tier_.append_stats(s);
     return s;
   }
 
   std::size_t num_points() const override {
     // Budget mode drops the rows; the graph still spans every point.
-    return tier_.evicted() ? index_.graph.size() : points_.size();
+    return tier_.evicted() ? index_.size() : points_.size();
   }
 
  private:
   Params params_;
   Builder builder_;
   PointSet<T> points_;
-  GraphIndex<Metric, T> index_;
+  Index index_;
   QuantizedTier<Metric, T> tier_;
 };
 
@@ -418,11 +452,12 @@ class DynamicDiskANNBackend final : public TypedBackend<T>,
 
   std::vector<Neighbor> range_search(
       const T* query, const RangeSearchParams& params) const override {
-    if (index_->start() == kInvalidPoint) return {};
-    std::vector<PointId> starts{index_->start()};
-    auto matches = ann::range_search<Metric>(query, index_->points(),
-                                             index_->graph(), starts, params)
-                       .matches;
+    const PointId start = index_->start();
+    if (start == kInvalidPoint) return {};
+    auto matches =
+        ann::range_search<Metric>(query, index_->points(), index_->graph(),
+                                  std::span<const PointId>(&start, 1), params)
+            .matches;
     // Tombstones stay navigable but must never be returned.
     std::erase_if(matches,
                   [&](const Neighbor& nb) { return index_->is_deleted(nb.id); });
@@ -434,7 +469,8 @@ class DynamicDiskANNBackend final : public TypedBackend<T>,
   std::vector<Neighbor> filtered_search(
       const T* query, const BoundFilter& filter,
       const QueryParams& params) const override {
-    if (index_->start() == kInvalidPoint) return {};
+    const PointId start = index_->start();
+    if (start == kInvalidPoint) return {};
     // Tombstones are just another exclusion predicate here, so they compose
     // with the caller's filter. Fold the tombstone oversearch (query_full's
     // live-fraction widening) into the filter's traversal widening factor.
@@ -444,9 +480,9 @@ class DynamicDiskANNBackend final : public TypedBackend<T>,
         static_cast<double>(std::max<std::size_t>(index_->size(), 1));
     sp.filter_beam_factor = std::max(params.filter_beam_factor, 1.0f) /
                             static_cast<float>(std::max(live_frac, 0.1));
-    std::vector<PointId> starts{index_->start()};
     auto res = filtered_beam_search<Metric>(
-        query, index_->points(), index_->graph(), starts, sp, [&](PointId id) {
+        query, index_->points(), index_->graph(),
+        std::span<const PointId>(&start, 1), sp, [&](PointId id) {
           return !index_->is_deleted(id) && filter.matches(id);
         });
     auto out = std::move(res.frontier);
@@ -471,7 +507,7 @@ class DynamicDiskANNBackend final : public TypedBackend<T>,
     if (graph.size() != points.size() ||
         state.deleted.size() != points.size() ||
         (state.start != kInvalidPoint && state.start >= points.size())) {
-      throw std::runtime_error("corrupt dynamic index payload: " + path);
+      throw corrupt_data("corrupt dynamic index payload: " + path);
     }
     index_ = std::make_unique<Index>(points.dims(), params_);
     index_->restore(std::move(points), std::move(graph), state.start,
@@ -515,145 +551,6 @@ class DynamicDiskANNBackend final : public TypedBackend<T>,
 
   DiskANNParams params_;
   std::unique_ptr<Index> index_;
-};
-
-// --- hnsw --------------------------------------------------------------------
-
-template <typename Metric, typename T>
-class HNSWBackend final : public TypedBackend<T> {
- public:
-  explicit HNSWBackend(HNSWParams params) : params_(std::move(params)) {}
-
-  void build(PointSet<T> points) override {
-    points_ = std::move(points);
-    index_ = build_hnsw<Metric>(points_, params_);
-    tier_.reset();
-  }
-
-  std::vector<Neighbor> search(const T* query,
-                               const QueryParams& params) const override {
-    tier_.require_raw("search");
-    auto res = index_.query_full(query, points_, params);
-    auto out = std::move(res.frontier);
-    if (out.size() > params.k) out.resize(params.k);
-    return out;
-  }
-
-  std::vector<Neighbor> range_search(
-      const T* query, const RangeSearchParams& params) const override {
-    tier_.require_raw("range_search");
-    // Descend the hierarchy to the bottom layer, then beam+flood there.
-    std::vector<PointId> starts{index_.descend_to(query, points_, 0)};
-    return ann::range_search<Metric>(query, points_, index_.layers[0], starts,
-                                     params)
-        .matches;
-  }
-
-  bool supports_native_filtering() const override { return true; }
-
-  std::vector<Neighbor> filtered_search(
-      const T* query, const BoundFilter& filter,
-      const QueryParams& params) const override {
-    tier_.require_raw("filtered_search");
-    // The upper layers only route; the predicate applies to the bottom-layer
-    // beam, exactly where the unfiltered search forms its results.
-    std::vector<PointId> starts{index_.descend_to(query, points_, 0)};
-    auto res = filtered_beam_search<Metric>(
-        query, points_, index_.layers[0], starts, params,
-        [&](PointId id) { return filter.matches(id); });
-    auto out = std::move(res.frontier);
-    if (out.size() > params.k) out.resize(params.k);
-    return out;
-  }
-
-  // --- quantized tier ---------------------------------------------------------
-
-  bool supports_quantized_search() const override { return true; }
-  bool has_quantized() const override { return tier_.attached(); }
-
-  void attach_quantized(const QuantizedSpec& spec) override {
-    tier_.attach(points_, spec);
-  }
-
-  void export_vector_store(const std::string& path) const override {
-    tier_.require_raw("export_vector_store");
-    write_vector_store(path, points_);
-  }
-
-  std::vector<Neighbor> quantized_search(
-      const T* query, const QueryParams& params) const override {
-    tier_.require_attached();
-    SearchScratch& scratch = local_search_scratch();
-    auto qv = tier_.store().bind(query, scratch);
-    // The hierarchy descent runs in the compressed domain too (beam-1 ADC
-    // per upper layer), so an evicted backend never needs coordinate rows.
-    PointId cur = index_.entry;
-    SearchParams one{.beam_width = 1, .k = 1};
-    for (std::uint32_t l = index_.entry_level; l > 0; --l) {
-      std::vector<PointId> st{cur};
-      auto hop = quantized_beam_search(qv, index_.layers[l], st, one, scratch);
-      if (!hop.frontier.empty()) cur = hop.frontier[0].id;
-    }
-    std::vector<PointId> starts{cur};
-    auto res = quantized_beam_search(qv, index_.layers[0], starts, params,
-                                     scratch);
-    tier_.finish(query, params, points_, res.frontier);
-    return std::move(res.frontier);
-  }
-
-  void save_quantized_payload(std::FILE* f,
-                              const std::string& path) const override {
-    tier_.save_store(f, path);
-  }
-
-  void load_quantized_payload(std::FILE* f, const std::string& path) override {
-    tier_.load_store(f, path, points_.size(), points_.dims());
-  }
-
-  // ----------------------------------------------------------------------------
-
-  void save_payload(std::FILE* f, const std::string& path) const override {
-    if (tier_.evicted()) {
-      tier_.write_points_from_store(f, path);
-    } else {
-      ioutil::write_points(f, points_, path);
-    }
-    write_hnsw_index_payload(f, index_, path);
-  }
-
-  void load_payload(std::FILE* f, const std::string& path) override {
-    points_ = ioutil::read_points<T>(f, path);
-    index_ = read_hnsw_index_payload<Metric, T>(f, path);
-    tier_.reset();
-  }
-
-  IndexStats stats() const override {
-    IndexStats s;
-    s.num_points = num_points();
-    s.dims = tier_.evicted() ? tier_.store().dims() : points_.dims();
-    s.memory_bytes =
-        points_.memory_bytes() + tier_.memory_bytes() +
-        index_.levels.capacity() * sizeof(std::uint32_t);
-    for (const auto& layer : index_.layers) s.memory_bytes += layer.memory_bytes();
-    std::size_t bottom_edges =
-        index_.layers.empty() ? 0 : index_.layers[0].num_edges();
-    s.details = {{"num_layers", static_cast<double>(index_.layers.size())},
-                 {"entry_level", static_cast<double>(index_.entry_level)},
-                 {"bottom_edges", static_cast<double>(bottom_edges)}};
-    tier_.append_stats(s);
-    return s;
-  }
-
-  std::size_t num_points() const override {
-    return tier_.evicted() && !index_.layers.empty() ? index_.layers[0].size()
-                                                     : points_.size();
-  }
-
- private:
-  HNSWParams params_;
-  PointSet<T> points_;
-  HNSWIndex<Metric, T> index_;
-  QuantizedTier<Metric, T> tier_;
 };
 
 // --- ivf_flat ----------------------------------------------------------------

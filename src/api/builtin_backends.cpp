@@ -22,13 +22,17 @@ namespace ann {
 
 namespace {
 
+template <typename Metric, typename T, typename Params>
+using FlatGraphBackend =
+    adapters::GraphBackend<Metric, T, GraphIndex<Metric, T>, Params>;
+
 template <typename Metric, typename T>
 void register_for_metric_dtype(Registry& r) {
   const std::string metric = metric_api_name<Metric>();
   const std::string dtype = dtype_name<T>();
 
   r.register_backend_if_absent("diskann", metric, dtype, [](const IndexSpec& spec) {
-    using Backend = adapters::FlatGraphBackend<Metric, T, DiskANNParams>;
+    using Backend = FlatGraphBackend<Metric, T, DiskANNParams>;
     return std::make_unique<Backend>(spec.params_or<DiskANNParams>(),
                                      &build_diskann<Metric, T>);
   });
@@ -37,23 +41,25 @@ void register_for_metric_dtype(Registry& r) {
         spec.params_or<DiskANNParams>());
   });
   r.register_backend_if_absent("sharded_diskann", metric, dtype, [](const IndexSpec& spec) {
-    using Backend = adapters::FlatGraphBackend<Metric, T, ShardedBuildParams>;
+    using Backend = FlatGraphBackend<Metric, T, ShardedBuildParams>;
     return std::make_unique<Backend>(spec.params_or<ShardedBuildParams>(),
                                      &build_sharded_diskann<Metric, T>);
   });
   r.register_backend_if_absent("hcnng", metric, dtype, [](const IndexSpec& spec) {
-    using Backend = adapters::FlatGraphBackend<Metric, T, HCNNGParams>;
+    using Backend = FlatGraphBackend<Metric, T, HCNNGParams>;
     return std::make_unique<Backend>(spec.params_or<HCNNGParams>(),
                                      &build_hcnng<Metric, T>);
   });
   r.register_backend_if_absent("pynndescent", metric, dtype, [](const IndexSpec& spec) {
-    using Backend = adapters::FlatGraphBackend<Metric, T, PyNNDescentParams>;
+    using Backend = FlatGraphBackend<Metric, T, PyNNDescentParams>;
     return std::make_unique<Backend>(spec.params_or<PyNNDescentParams>(),
                                      &build_pynndescent<Metric, T>);
   });
   r.register_backend_if_absent("hnsw", metric, dtype, [](const IndexSpec& spec) {
-    return std::make_unique<adapters::HNSWBackend<Metric, T>>(
-        spec.params_or<HNSWParams>());
+    using Backend =
+        adapters::GraphBackend<Metric, T, HNSWIndex<Metric, T>, HNSWParams>;
+    return std::make_unique<Backend>(spec.params_or<HNSWParams>(),
+                                     &build_hnsw<Metric, T>);
   });
   r.register_backend_if_absent("ivf_flat", metric, dtype, [](const IndexSpec& spec) {
     return std::make_unique<adapters::IVFFlatBackend<Metric, T>>(

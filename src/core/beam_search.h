@@ -4,29 +4,37 @@
 //   * (1+eps) candidate pruning (Iwasaki & Miyazaki): candidates farther
 //     than (1+eps) times the current k-th nearest distance are not queued.
 //
+// One loop, internal::traverse, serves every graph search in the library.
+// It is templated on two things:
+//   * a DISTANCE VIEW with eval(id) (distance of the prepared query to point
+//     id, uncounted) and prefetch(id): RowView over full-precision rows,
+//     QuantizedQuery over int8/PQ codes (quant/quantized_store.h), or the
+//     PQ-table view of ivf/pq_graph_search.h;
+//   * an ADMISSION POLICY: AdmitAll makes the traversal beam the result
+//     frontier; AdmitMatching feeds predicate-passing points into a separate
+//     matched list before the traversal's cuts (filtered search).
+// beam_search, filtered_beam_search, quantized_beam_search, search_knn,
+// pq_search_knn and the HNSW descent are thin wrappers over it.
+//
 // The search is deterministic: the beam is kept sorted by (distance, id), so
-// ties never depend on traversal order, and all inputs (graph, starts) are
-// deterministic upstream.
+// ties never depend on traversal order, views are pure functions of (prepared
+// query, id), and all inputs (graph, starts) are deterministic upstream.
 //
 // Hot-path structure:
-//   * All distance evaluations go through the raw Metric::eval kernels with
-//     a per-query Metric::prepare context (Cosine hoists the query norm out
-//     of the inner loop); evaluations are counted locally and reported in
-//     one DistanceCounter::bump(n) per search.
+//   * Evaluations are counted locally and reported in one
+//     DistanceCounter::bump(n) per search.
 //   * Scratch state (the seen table, the beam, processed flags, the
 //     neighbor gather buffer) lives in a per-thread SearchScratch pool, so
 //     a steady-state query allocates nothing but its own result vectors.
 //     The pooled ApproxVisitedSet is epoch-cleared: resetting it between
 //     queries is O(1), not a table memset.
 //   * Neighbor expansion is two-phase: gather the unprocessed neighbor ids
-//     (issuing coordinate prefetches), then evaluate distances — by the
-//     time the kernel runs, the rows are on their way into cache.
+//     (issuing view prefetches), then evaluate distances — by the time the
+//     kernel runs, the rows are on their way into cache.
 //   * A node is processed at most once, BY CONSTRUCTION: an exact
 //     processed-id set guards the expansion, so result.visited (the prune
 //     candidate pool during construction) never holds duplicates even when
-//     the approximate seen-table drops ids on collisions. Previously this
-//     invariant was only implied by the sorted beam's monotonicity; now it
-//     is enforced and tested.
+//     the approximate seen-table drops ids on collisions.
 //
 // The same routine serves queries and index construction (the insert path of
 // the incremental algorithms uses the visited list as the prune candidate
@@ -38,6 +46,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -137,153 +146,107 @@ inline void beam_prefetch_point(const T* row, std::size_t d) {
   if (d * sizeof(T) > 64) __builtin_prefetch(p + 64, 0, 3);
 }
 
+// Distance view over full-precision rows: the prepared query and the point
+// set it is compared against. The quantized views (QuantizedQuery in
+// quant/quantized_store.h, the PQ-table view in ivf/pq_graph_search.h)
+// offer the same eval/prefetch pair over compressed codes.
+template <typename Metric, typename T>
+struct RowView {
+  RowView(const T* q, const PointSet<T>& ps)
+      : query(q), points(&ps), dims(ps.dims()),
+        prep(Metric::prepare(q, dims)) {}
+
+  float eval(PointId id) const {
+    return Metric::eval(prep, query, (*points)[id], dims);
+  }
+  void prefetch(PointId id) const { beam_prefetch_point((*points)[id], dims); }
+
+  const T* query;
+  const PointSet<T>* points;
+  std::size_t dims;
+  typename Metric::Prepared prep;
+};
+
+// Admission policy of an unfiltered search: the traversal beam itself is
+// the result frontier.
+struct AdmitAll {};
+
 namespace internal {
 
-template <typename Metric, typename T, typename VisitedSet>
-SearchResult beam_search_impl(const T* query, const PointSet<T>& points,
-                              const Graph& g, std::span<const PointId> starts,
-                              const SearchParams& params, VisitedSet& seen,
-                              SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  const std::size_t k = std::max<std::size_t>(params.k, 1);
-  const std::size_t dims = points.dims();
-  const float cut = 1.0f + params.epsilon;
-  const auto prep = Metric::prepare(query, dims);
+// Admission policy of a filtered search: points passing `pred` enter a
+// separate `matched` list (sorted, capped at max(L, k)) that becomes the
+// result frontier. The bound check runs first so the (potentially costly)
+// predicate is skipped for points that could not place anyway.
+template <typename Pred>
+struct AdmitMatching {
+  const Pred& pred;
+  std::vector<Neighbor>& matched;
+  std::size_t cap;
 
-  std::vector<Neighbor>& beam = scratch.beam;
-  std::vector<unsigned char>& processed = scratch.processed;
-  beam.clear();
-  beam.reserve(L + 1);
-  processed.clear();
-  processed.reserve(L + 1);
-  scratch.processed_ids.reset(
-      std::min<std::size_t>(params.visit_limit, 4 * L));
-
-  SearchResult result;
-  result.visited.reserve(std::min(params.visit_limit, 4 * L));
-  std::uint64_t evals = 0;
-
-  auto insert_candidate = [&](PointId id, float dist) {
+  void operator()(PointId id, float dist) const {
     Neighbor nb{id, dist};
-    auto it = std::lower_bound(beam.begin(), beam.end(), nb);
-    if (it != beam.end() && it->id == id && it->dist == dist) return;
-    if (beam.size() >= L) {
-      if (!(nb < beam.back())) return;
-      beam.pop_back();
-      processed.pop_back();
-    }
-    std::size_t pos = static_cast<std::size_t>(it - beam.begin());
-    beam.insert(beam.begin() + pos, nb);
-    processed.insert(processed.begin() + pos, 0);
-  };
-
-  for (PointId s : starts) {
-    if (seen.test_and_set(s)) continue;
-    ++evals;
-    insert_candidate(s, Metric::eval(prep, query, points[s], dims));
+    if (matched.size() >= cap && !(nb < matched.back())) return;
+    if (!pred(id)) return;
+    auto it = std::lower_bound(matched.begin(), matched.end(), nb);
+    if (it != matched.end() && it->id == id && it->dist == dist) return;
+    if (matched.size() >= cap) matched.pop_back();
+    matched.insert(it, nb);
   }
+};
 
-  while (result.visited.size() < params.visit_limit) {
-    // Closest unprocessed beam entry.
-    std::size_t pi = 0;
-    while (pi < beam.size() && processed[pi]) ++pi;
-    if (pi == beam.size()) break;
-
-    processed[pi] = 1;
-    Neighbor current = beam[pi];
-    // Re-processing guard: the seen-table may drop an id on a collision, so
-    // it alone cannot keep an already-expanded node from re-entering the
-    // beam; this exact set can. With the current sorted beam the re-entry
-    // path is additionally blocked by monotonicity (once full, the beam's
-    // worst only tightens below any evicted id's fixed distance), but the
-    // duplicate-free visited contract is enforced HERE, not assumed from
-    // beam policy — tests/test_query_hot_path.cpp asserts it under
-    // collision-heavy tables.
-    if (!scratch.processed_ids.insert(current.id)) continue;
-    result.visited.push_back(current);
-
-    // (1+eps) pruning radius: current k-th nearest seen (or worst if < k).
-    float dk = beam.size() >= k ? beam[k - 1].dist : beam.back().dist;
-    float radius = dk < 0 ? dk / cut : dk * cut;  // handles negative (MIPS)
-    float worst = beam.size() >= L
-                      ? beam.back().dist
-                      : std::numeric_limits<float>::infinity();
-
-    // Phase 1: gather unseen neighbors, prefetching their coordinates.
-    scratch.gather.clear();
-    for (PointId nb_id : g.neighbors(current.id)) {
-      if (seen.test_and_set(nb_id)) continue;
-      scratch.gather.push_back(nb_id);
-      beam_prefetch_point(points[nb_id], dims);
-    }
-    evals += scratch.gather.size();
-
-    // Phase 2: evaluate and queue.
-    for (PointId nb_id : scratch.gather) {
-      float d = Metric::eval(prep, query, points[nb_id], dims);
-      if (d > worst) continue;
-      if (params.epsilon > 0.0f && d > radius) continue;
-      insert_candidate(nb_id, d);
-      worst = beam.size() >= L ? beam.back().dist
-                               : std::numeric_limits<float>::infinity();
-    }
+// The seen table of a search of width `beam`: the pooled ApproxVisitedSet
+// (the paper's optimization, reset in O(1)), or a fresh reference set built
+// into `own`.
+template <typename VisitedSet>
+VisitedSet& seen_table(SearchScratch& scratch, std::optional<VisitedSet>& own,
+                       std::size_t beam) {
+  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
+    scratch.seen.reset(beam);
+    return scratch.seen;
+  } else {
+    return own.emplace(beam);
   }
-
-  DistanceCounter::bump(evals);
-  result.frontier.assign(beam.begin(), beam.end());
-  return result;
 }
 
-// Filter-aware beam search. Structurally the same traversal as
-// beam_search_impl, with two changes:
+// The one greedy traversal loop. Every graph search in the library —
+// unfiltered, filtered, int8/PQ-quantized, PQ-graph, and the HNSW descent —
+// is this function with a different distance view and admission policy:
 //
-//   * The predicate gates ADMISSION, not traversal. Every evaluated point
-//     still competes for the traversal beam (filtered-out points conduct the
-//     walk toward the filtered region — dropping them would disconnect the
-//     graph under selective filters), but only predicate-passing points
-//     enter the separate `matched` result list that becomes
-//     result.frontier.
-//   * The traversal beam is widened to Lt = ceil(L * filter_beam_factor):
-//     at selectivity s only ~s of traversal work lands on admissible points,
-//     so the frontier needs proportionally more slack to keep recall.
+//   * `view.eval(id)` is the distance of the prepared query to point id and
+//     `view.prefetch(id)` warms whatever eval(id) will read. The loop never
+//     touches coordinates or codes itself.
+//   * `admit` is AdmitAll (the beam of width Lt is the result frontier) or
+//     an AdmitMatching predicate gate. A gate sees every evaluated point
+//     BEFORE the traversal's `worst`/epsilon cuts: a matching point too far
+//     to steer the walk can still be a top-k result, while filtered-out
+//     points keep conducting the walk toward the filtered region.
+//   * `Lt` is the traversal beam width: beam_width, or the widened
+//     ceil(beam_width * filter_beam_factor) of a filtered search.
 //
-// The predicate is invoked only for candidates that could still improve the
-// matched list (list not full, or distance beats its current worst) — a
-// deterministic gate, since it depends only on distances and the (dist, id)
-// total order. Crucially the matched test happens BEFORE the traversal
-// beam's `worst`/epsilon cuts: a matching point too far to steer the walk
-// can still be a top-k result.
-//
-// result.frontier = matched (sorted, <= max(L, k) entries, all passing);
-// result.visited = full traversal list, same contract as unfiltered search.
-template <typename Metric, typename T, typename Pred, typename VisitedSet>
-SearchResult filtered_beam_search_impl(const T* query,
-                                       const PointSet<T>& points,
-                                       const Graph& g,
-                                       std::span<const PointId> starts,
-                                       const SearchParams& params,
-                                       const Pred& pred, VisitedSet& seen,
-                                       SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
+// result.frontier is the beam (AdmitAll) or the matched list; result.visited
+// is the processing order in both cases.
+template <typename VisitedSet, typename View, typename Admit>
+SearchResult traverse(const View& view_in, const Graph& g,
+                      std::span<const PointId> starts,
+                      const SearchParams& params, std::size_t Lt,
+                      const Admit& admit, SearchScratch& scratch) {
+  constexpr bool kAdmitAll = std::is_same_v<Admit, AdmitAll>;
+  // A local copy: the beam's unsigned-char stores may alias anything, so
+  // fields read through a reference would be reloaded on every eval.
+  const View view = view_in;
   const std::size_t k = std::max<std::size_t>(params.k, 1);
-  const float factor = std::max(params.filter_beam_factor, 1.0f);
-  const std::size_t Lt = std::max<std::size_t>(
-      L, static_cast<std::size_t>(
-             std::ceil(static_cast<double>(L) * factor)));
-  const std::size_t match_cap = std::max(L, k);
-  const std::size_t dims = points.dims();
   const float cut = 1.0f + params.epsilon;
-  const auto prep = Metric::prepare(query, dims);
+  const float kInf = std::numeric_limits<float>::infinity();
+
+  std::optional<VisitedSet> own_seen;
+  VisitedSet& seen = seen_table(scratch, own_seen, Lt);
 
   std::vector<Neighbor>& beam = scratch.beam;
   std::vector<unsigned char>& processed = scratch.processed;
-  std::vector<Neighbor>& matched = scratch.matched;
   beam.clear();
   beam.reserve(Lt + 1);
   processed.clear();
   processed.reserve(Lt + 1);
-  matched.clear();
-  matched.reserve(match_cap + 1);
   scratch.processed_ids.reset(
       std::min<std::size_t>(params.visit_limit, 4 * Lt));
 
@@ -305,163 +268,61 @@ SearchResult filtered_beam_search_impl(const T* query,
     processed.insert(processed.begin() + pos, 0);
   };
 
-  // Admit `nb` to the matched list if the predicate passes. The bound check
-  // runs first so the (potentially costly) predicate is skipped for points
-  // that could not place anyway.
-  auto consider_match = [&](PointId id, float dist) {
-    Neighbor nb{id, dist};
-    if (matched.size() >= match_cap && !(nb < matched.back())) return;
-    if (!pred(id)) return;
-    auto it = std::lower_bound(matched.begin(), matched.end(), nb);
-    if (it != matched.end() && it->id == id && it->dist == dist) return;
-    if (matched.size() >= match_cap) matched.pop_back();
-    matched.insert(it, nb);
-  };
-
   for (PointId s : starts) {
     if (seen.test_and_set(s)) continue;
     ++evals;
-    float d = Metric::eval(prep, query, points[s], dims);
-    consider_match(s, d);
+    float d = view.eval(s);
+    if constexpr (!kAdmitAll) admit(s, d);
     insert_candidate(s, d);
   }
 
   while (result.visited.size() < params.visit_limit) {
+    // Closest unprocessed beam entry.
     std::size_t pi = 0;
     while (pi < beam.size() && processed[pi]) ++pi;
     if (pi == beam.size()) break;
 
     processed[pi] = 1;
     Neighbor current = beam[pi];
+    // Re-processing guard: the seen-table may drop an id on a collision, so
+    // it alone cannot keep an already-expanded node from re-entering the
+    // beam; this exact set can. The duplicate-free visited contract is
+    // enforced HERE, not assumed from beam policy —
+    // tests/test_query_hot_path.cpp asserts it under collision-heavy tables.
     if (!scratch.processed_ids.insert(current.id)) continue;
     result.visited.push_back(current);
 
+    // (1+eps) pruning radius: current k-th nearest seen (or worst if < k).
     float dk = beam.size() >= k ? beam[k - 1].dist : beam.back().dist;
-    float radius = dk < 0 ? dk / cut : dk * cut;
-    float worst = beam.size() >= Lt
-                      ? beam.back().dist
-                      : std::numeric_limits<float>::infinity();
+    float radius = dk < 0 ? dk / cut : dk * cut;  // handles negative (MIPS)
+    float worst = beam.size() >= Lt ? beam.back().dist : kInf;
 
+    // Phase 1: gather unseen neighbors, prefetching what eval will read.
     scratch.gather.clear();
     for (PointId nb_id : g.neighbors(current.id)) {
       if (seen.test_and_set(nb_id)) continue;
       scratch.gather.push_back(nb_id);
-      beam_prefetch_point(points[nb_id], dims);
+      view.prefetch(nb_id);
     }
     evals += scratch.gather.size();
 
+    // Phase 2: evaluate, admit, and queue.
     for (PointId nb_id : scratch.gather) {
-      float d = Metric::eval(prep, query, points[nb_id], dims);
-      // Matched admission precedes the traversal cuts: a passing point
-      // outside the traversal radius is still a candidate result.
-      consider_match(nb_id, d);
+      float d = view.eval(nb_id);
+      if constexpr (!kAdmitAll) admit(nb_id, d);
       if (d > worst) continue;
       if (params.epsilon > 0.0f && d > radius) continue;
       insert_candidate(nb_id, d);
-      worst = beam.size() >= Lt ? beam.back().dist
-                                : std::numeric_limits<float>::infinity();
+      worst = beam.size() >= Lt ? beam.back().dist : kInf;
     }
   }
 
   DistanceCounter::bump(evals);
-  result.frontier.assign(matched.begin(), matched.end());
-  return result;
-}
-
-// Quantized beam search: the identical traversal as beam_search_impl,
-// except every distance is a compressed-domain evaluation through a
-// QuantView (qv.eval(id) — e.g. an ADC table-lookup sum over PQ codes, or
-// an int8 kernel; see src/quant/quantized_store.h). The full-precision rows
-// are never touched, which is what lets the raw coordinates live out of RAM
-// (mmap'd or evicted). Deterministic for the same reasons as the
-// full-precision walk: qv.eval is a pure function of (prepared query, id),
-// accumulated in a fixed order, and the beam keeps the (dist, id) total
-// order.
-//
-// Counting: each qv.eval counts as one distance evaluation, reported in a
-// single batched bump, matching beam_search_impl (table construction is
-// counted separately by the store's bind()).
-template <typename QuantView, typename VisitedSet>
-SearchResult quantized_beam_search_impl(const QuantView& qv, const Graph& g,
-                                        std::span<const PointId> starts,
-                                        const SearchParams& params,
-                                        VisitedSet& seen,
-                                        SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  const std::size_t k = std::max<std::size_t>(params.k, 1);
-  const float cut = 1.0f + params.epsilon;
-
-  std::vector<Neighbor>& beam = scratch.beam;
-  std::vector<unsigned char>& processed = scratch.processed;
-  beam.clear();
-  beam.reserve(L + 1);
-  processed.clear();
-  processed.reserve(L + 1);
-  scratch.processed_ids.reset(
-      std::min<std::size_t>(params.visit_limit, 4 * L));
-
-  SearchResult result;
-  result.visited.reserve(std::min(params.visit_limit, 4 * L));
-  std::uint64_t evals = 0;
-
-  auto insert_candidate = [&](PointId id, float dist) {
-    Neighbor nb{id, dist};
-    auto it = std::lower_bound(beam.begin(), beam.end(), nb);
-    if (it != beam.end() && it->id == id && it->dist == dist) return;
-    if (beam.size() >= L) {
-      if (!(nb < beam.back())) return;
-      beam.pop_back();
-      processed.pop_back();
-    }
-    std::size_t pos = static_cast<std::size_t>(it - beam.begin());
-    beam.insert(beam.begin() + pos, nb);
-    processed.insert(processed.begin() + pos, 0);
-  };
-
-  for (PointId s : starts) {
-    if (seen.test_and_set(s)) continue;
-    ++evals;
-    insert_candidate(s, qv.eval(s));
+  if constexpr (kAdmitAll) {
+    result.frontier.assign(beam.begin(), beam.end());
+  } else {
+    result.frontier.assign(admit.matched.begin(), admit.matched.end());
   }
-
-  while (result.visited.size() < params.visit_limit) {
-    std::size_t pi = 0;
-    while (pi < beam.size() && processed[pi]) ++pi;
-    if (pi == beam.size()) break;
-
-    processed[pi] = 1;
-    Neighbor current = beam[pi];
-    if (!scratch.processed_ids.insert(current.id)) continue;
-    result.visited.push_back(current);
-
-    float dk = beam.size() >= k ? beam[k - 1].dist : beam.back().dist;
-    float radius = dk < 0 ? dk / cut : dk * cut;
-    float worst = beam.size() >= L
-                      ? beam.back().dist
-                      : std::numeric_limits<float>::infinity();
-
-    // Phase 1: gather unseen neighbors, prefetching their CODE rows (a few
-    // bytes each — one line usually covers several points).
-    scratch.gather.clear();
-    for (PointId nb_id : g.neighbors(current.id)) {
-      if (seen.test_and_set(nb_id)) continue;
-      scratch.gather.push_back(nb_id);
-      qv.prefetch(nb_id);
-    }
-    evals += scratch.gather.size();
-
-    for (PointId nb_id : scratch.gather) {
-      float d = qv.eval(nb_id);
-      if (d > worst) continue;
-      if (params.epsilon > 0.0f && d > radius) continue;
-      insert_candidate(nb_id, d);
-      worst = beam.size() >= L ? beam.back().dist
-                               : std::numeric_limits<float>::infinity();
-    }
-  }
-
-  DistanceCounter::bump(evals);
-  result.frontier.assign(beam.begin(), beam.end());
   return result;
 }
 
@@ -469,53 +330,25 @@ SearchResult quantized_beam_search_impl(const QuantView& qv, const Graph& g,
 
 // Quantized beam search over a bound QuantView (see
 // src/quant/quantized_store.h: store.bind(query, scratch) produces the
-// view). Same VisitedSet dispatch as beam_search. Rerank is layered on top
-// by the caller (ann::exact_rerank) — this routine never reads coordinates.
+// view). Rerank is layered on top by the caller (ann::exact_rerank) — this
+// routine never reads coordinates.
 template <typename QuantView, typename VisitedSet = ApproxVisitedSet>
 SearchResult quantized_beam_search(const QuantView& qv, const Graph& g,
                                    std::span<const PointId> starts,
                                    const SearchParams& params,
                                    SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
-    scratch.seen.reset(L);
-    return internal::quantized_beam_search_impl(qv, g, starts, params,
-                                                scratch.seen, scratch);
-  } else {
-    VisitedSet seen(L);
-    return internal::quantized_beam_search_impl(qv, g, starts, params, seen,
-                                                scratch);
-  }
+  return internal::traverse<VisitedSet>(
+      qv, g, starts, params, std::max<std::uint32_t>(params.beam_width, 1),
+      AdmitAll{}, scratch);
 }
 
 // Filter-aware beam search: like beam_search, but only points for which
-// pred(id) is true enter the result frontier. Filtered-out points still
-// conduct the traversal. params.filter_beam_factor widens the traversal
-// beam (<= 1 means no widening at this layer; AnyIndex resolves AUTO before
-// calling down here).
-template <typename Metric, typename T, typename Pred,
-          typename VisitedSet = ApproxVisitedSet>
-SearchResult filtered_beam_search(const T* query, const PointSet<T>& points,
-                                  const Graph& g,
-                                  std::span<const PointId> starts,
-                                  const SearchParams& params, const Pred& pred,
-                                  SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  const float factor = std::max(params.filter_beam_factor, 1.0f);
-  const std::size_t Lt = std::max<std::size_t>(
-      L, static_cast<std::size_t>(std::ceil(static_cast<double>(L) * factor)));
-  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
-    scratch.seen.reset(Lt);
-    return internal::filtered_beam_search_impl<Metric>(
-        query, points, g, starts, params, pred, scratch.seen, scratch);
-  } else {
-    VisitedSet seen(Lt);
-    return internal::filtered_beam_search_impl<Metric>(
-        query, points, g, starts, params, pred, seen, scratch);
-  }
-}
-
-// Convenience overload on the per-thread scratch pool.
+// pred(id) is true enter the result frontier (<= max(L, k) entries).
+// Filtered-out points still conduct the traversal. params.filter_beam_factor
+// widens the traversal beam to ceil(L * factor): at selectivity s only ~s of
+// the traversal work lands on admissible points, so the beam needs
+// proportionally more slack (<= 1 means no widening at this layer; AnyIndex
+// resolves AUTO before calling down here).
 template <typename Metric, typename T, typename Pred,
           typename VisitedSet = ApproxVisitedSet>
 SearchResult filtered_beam_search(const T* query, const PointSet<T>& points,
@@ -523,8 +356,17 @@ SearchResult filtered_beam_search(const T* query, const PointSet<T>& points,
                                   std::span<const PointId> starts,
                                   const SearchParams& params,
                                   const Pred& pred) {
-  return filtered_beam_search<Metric, T, Pred, VisitedSet>(
-      query, points, g, starts, params, pred, local_search_scratch());
+  SearchScratch& scratch = local_search_scratch();
+  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
+  const float factor = std::max(params.filter_beam_factor, 1.0f);
+  const std::size_t Lt = std::max<std::size_t>(
+      L, static_cast<std::size_t>(std::ceil(static_cast<double>(L) * factor)));
+  const std::size_t cap = std::max<std::size_t>(L, params.k);
+  scratch.matched.clear();
+  scratch.matched.reserve(cap + 1);
+  return internal::traverse<VisitedSet>(
+      RowView<Metric, T>(query, points), g, starts, params, Lt,
+      internal::AdmitMatching<Pred>{pred, scratch.matched, cap}, scratch);
 }
 
 // Beam search for `query` over graph g from the given start points, using
@@ -535,16 +377,9 @@ template <typename Metric, typename T, typename VisitedSet = ApproxVisitedSet>
 SearchResult beam_search(const T* query, const PointSet<T>& points,
                          const Graph& g, std::span<const PointId> starts,
                          const SearchParams& params, SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
-    scratch.seen.reset(L);
-    return internal::beam_search_impl<Metric>(query, points, g, starts, params,
-                                              scratch.seen, scratch);
-  } else {
-    VisitedSet seen(L);
-    return internal::beam_search_impl<Metric>(query, points, g, starts, params,
-                                              seen, scratch);
-  }
+  return internal::traverse<VisitedSet>(
+      RowView<Metric, T>(query, points), g, starts, params,
+      std::max<std::uint32_t>(params.beam_width, 1), AdmitAll{}, scratch);
 }
 
 // Convenience overload on the per-thread scratch pool.
@@ -562,9 +397,8 @@ std::vector<PointId> search_knn(const T* query, const PointSet<T>& points,
                                 const Graph& g,
                                 std::span<const PointId> starts,
                                 const SearchParams& params) {
-  auto res = beam_search<Metric, T, VisitedSet>(query, points, g, starts,
-                                                params);
-  return res.top_k_ids(params.k);
+  return beam_search<Metric, T, VisitedSet>(query, points, g, starts, params)
+      .top_k_ids(params.k);
 }
 
 }  // namespace ann

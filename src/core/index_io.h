@@ -19,8 +19,6 @@
 //                tail. Load verifies every section BEFORE parsing, so any
 //                torn write or single-bit flip is rejected as
 //                ann::corrupt_data instead of reaching a payload parser.
-//   GraphIndex : [magic "PANN" u32] [version u32] [graph payload]
-//   HNSWIndex  : [magic "PANH" u32] [version u32] [hnsw payload]
 //   dyn. state : [magic "PAND" u32] [version u32] [start u32] [n u64]
 //                [tombstone bitmap, (n+7)/8 bytes] — the mutable backends'
 //                update state (embedded inside their container payload so a
@@ -46,8 +44,13 @@
 // its header carries everything needed to reconstruct the index through the
 // registry — algorithm name, metric, element type, and the build parameters
 // as a key/value map — so a saved index round-trips without the caller
-// knowing its concrete type. The per-algorithm formats remain for code that
-// works with a concrete GraphIndex/HNSWIndex.
+// knowing its concrete type.
+//
+// Payload parsers VALIDATE what they read, not only its length: every
+// neighbour id, start point and HNSW entry must lie in range. v1 containers
+// carry no checksum, and a single flipped id must be rejected as
+// ann::corrupt_data here rather than become an out-of-bounds read at search
+// time.
 #pragma once
 
 #include <algorithm>
@@ -70,13 +73,10 @@ namespace ann {
 namespace internal {
 
 inline constexpr std::uint32_t kContainerMagic = 0x50414e58;     // "PANX"
-inline constexpr std::uint32_t kGraphIndexMagic = 0x50414e4e;    // "PANN"
-inline constexpr std::uint32_t kHnswIndexMagic = 0x50414e48;     // "PANH"
 inline constexpr std::uint32_t kDynamicStateMagic = 0x50414e44;  // "PAND"
 inline constexpr std::uint32_t kLabelStoreMagic = 0x50414e4c;    // "PANL"
 inline constexpr std::uint32_t kQuantStoreMagic = 0x50414e51;    // "PANQ"
 inline constexpr std::uint32_t kChecksumTrailerMagic = 0x50414e43;  // "PANC"
-inline constexpr std::uint32_t kIndexVersion = 1;
 // v2: per-section CRC32C checksum trailer + atomic save. v1 files (no
 // trailer) remain loadable; the writer always emits v2.
 inline constexpr std::uint32_t kContainerVersion = 2;
@@ -426,7 +426,7 @@ inline LabelStore read_label_store_payload(std::FILE* f,
                                 std::move(ids));
 }
 
-// --- graph payloads (shared by the legacy formats and the container) ---------
+// --- graph payloads ----------------------------------------------------------
 
 inline void write_graph_payload(std::FILE* f, const Graph& g,
                                 const std::string& path) {
@@ -453,6 +453,11 @@ inline Graph read_graph_payload(std::FILE* f, const std::string& path) {
     std::uint32_t sz = ioutil::read_u32(f, path);
     if (sz > deg) throw corrupt_data("corrupt index: " + path);
     ioutil::read_bytes(f, buf.data(), sz * sizeof(PointId), path);
+    for (std::uint32_t i = 0; i < sz; ++i) {
+      if (buf[i] >= n) {
+        throw corrupt_data("corrupt graph: neighbour id out of range: " + path);
+      }
+    }
     g.set_neighbors(v, {buf.data(), sz});
   }
   return g;
@@ -471,6 +476,9 @@ GraphIndex<Metric, T> read_graph_index_payload(std::FILE* f,
   GraphIndex<Metric, T> index;
   index.start = ioutil::read_u32(f, path);
   index.graph = read_graph_payload(f, path);
+  if (index.graph.size() > 0 && index.start >= index.graph.size()) {
+    throw corrupt_data("corrupt graph index: start out of range: " + path);
+  }
   return index;
 }
 
@@ -504,11 +512,22 @@ HNSWIndex<Metric, T> read_hnsw_index_payload(std::FILE* f,
   index.layers.reserve(num_layers);
   for (std::uint32_t l = 0; l < num_layers; ++l) {
     index.layers.push_back(read_graph_payload(f, path));
+    if (index.layers.back().size() != n) {
+      throw corrupt_data("corrupt hnsw index: layer size mismatch: " + path);
+    }
+  }
+  // An empty index has no layers and no entry; otherwise the entry must be
+  // a point whose level reaches entry_level, and entry_level a real layer.
+  if (n == 0 ? num_layers != 0 || index.entry != kInvalidPoint
+             : num_layers == 0 || index.entry >= n ||
+                   index.entry_level >= num_layers ||
+                   index.levels[index.entry] < index.entry_level) {
+    throw corrupt_data("corrupt hnsw index: entry out of range: " + path);
   }
   return index;
 }
 
-// --- legacy single-algorithm formats -----------------------------------------
+// --- file handles ------------------------------------------------------------
 
 namespace internal {
 
@@ -529,48 +548,5 @@ inline File open_index_file(const std::string& path, const char* mode) {
 }
 
 }  // namespace internal
-
-template <typename Metric, typename T>
-void save_index(const GraphIndex<Metric, T>& index, const std::string& path) {
-  ioutil::AtomicFileWriter out(path);
-  ioutil::write_u32(out.file(), internal::kGraphIndexMagic, path);
-  ioutil::write_u32(out.file(), internal::kIndexVersion, path);
-  write_graph_index_payload(out.file(), index, path);
-  out.commit();
-}
-
-template <typename Metric, typename T>
-GraphIndex<Metric, T> load_index(const std::string& path) {
-  auto f = internal::open_index_file(path, "rb");
-  if (ioutil::read_u32(f.get(), path) != internal::kGraphIndexMagic) {
-    throw corrupt_data("not a GraphIndex file: " + path);
-  }
-  if (ioutil::read_u32(f.get(), path) != internal::kIndexVersion) {
-    throw corrupt_data("unsupported index version: " + path);
-  }
-  return read_graph_index_payload<Metric, T>(f.get(), path);
-}
-
-template <typename Metric, typename T>
-void save_hnsw_index(const HNSWIndex<Metric, T>& index,
-                     const std::string& path) {
-  ioutil::AtomicFileWriter out(path);
-  ioutil::write_u32(out.file(), internal::kHnswIndexMagic, path);
-  ioutil::write_u32(out.file(), internal::kIndexVersion, path);
-  write_hnsw_index_payload(out.file(), index, path);
-  out.commit();
-}
-
-template <typename Metric, typename T>
-HNSWIndex<Metric, T> load_hnsw_index(const std::string& path) {
-  auto f = internal::open_index_file(path, "rb");
-  if (ioutil::read_u32(f.get(), path) != internal::kHnswIndexMagic) {
-    throw corrupt_data("not an HNSWIndex file: " + path);
-  }
-  if (ioutil::read_u32(f.get(), path) != internal::kIndexVersion) {
-    throw corrupt_data("unsupported index version: " + path);
-  }
-  return read_hnsw_index_payload<Metric, T>(f.get(), path);
-}
 
 }  // namespace ann

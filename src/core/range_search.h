@@ -18,7 +18,8 @@
 #pragma once
 
 #include <algorithm>
-#include <type_traits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "beam_search.h"
@@ -41,14 +42,22 @@ struct RangeResult {
   std::size_t flood_steps = 0;  // vertices expanded during the flood phase
 };
 
-namespace internal {
+template <typename Metric, typename T, typename VisitedSet = ApproxVisitedSet>
+RangeResult range_search(const T* query, const PointSet<T>& points,
+                         const Graph& g, std::span<const PointId> starts,
+                         const RangeSearchParams& params) {
+  SearchScratch& scratch = local_search_scratch();
+  // Phase 1: navigate into the query's neighborhood.
+  SearchParams sp{.beam_width = params.beam_width, .k = params.beam_width};
+  auto beam =
+      beam_search<Metric, T, VisitedSet>(query, points, g, starts, sp, scratch);
 
-template <typename Metric, typename T, typename VisitedSet>
-RangeResult range_search_impl(const T* query, const PointSet<T>& points,
-                              const Graph& g,
-                              const SearchResult& beam,
-                              const RangeSearchParams& params,
-                              VisitedSet& seen, SearchScratch& scratch) {
+  // The beam phase is done with the pooled seen-table, so the flood phase
+  // can reset and reuse it (the two phases intentionally do NOT share seen
+  // state: frontier/visited entries re-seed the flood).
+  std::optional<VisitedSet> own_seen;
+  VisitedSet& seen = internal::seen_table(
+      scratch, own_seen, std::max<std::size_t>(params.beam_width, 64));
   const std::size_t dims = points.dims();
   const auto prep = Metric::prepare(query, dims);
 
@@ -102,33 +111,6 @@ RangeResult range_search_impl(const T* query, const PointSet<T>& points,
                   }),
       result.matches.end());
   return result;
-}
-
-}  // namespace internal
-
-template <typename Metric, typename T, typename VisitedSet = ApproxVisitedSet>
-RangeResult range_search(const T* query, const PointSet<T>& points,
-                         const Graph& g, std::span<const PointId> starts,
-                         const RangeSearchParams& params) {
-  SearchScratch& scratch = local_search_scratch();
-  // Phase 1: navigate into the query's neighborhood.
-  SearchParams sp{.beam_width = params.beam_width, .k = params.beam_width};
-  auto beam =
-      beam_search<Metric, T, VisitedSet>(query, points, g, starts, sp, scratch);
-
-  // The beam phase is done with the pooled seen-table, so the flood phase
-  // can reset and reuse it (the two phases intentionally do NOT share seen
-  // state: frontier/visited entries re-seed the flood).
-  const std::size_t flood_beam = std::max<std::size_t>(params.beam_width, 64);
-  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
-    scratch.seen.reset(flood_beam);
-    return internal::range_search_impl<Metric>(query, points, g, beam, params,
-                                               scratch.seen, scratch);
-  } else {
-    VisitedSet seen(flood_beam);
-    return internal::range_search_impl<Metric>(query, points, g, beam, params,
-                                               seen, scratch);
-  }
 }
 
 // Exact range ground truth by brute force (per query, deterministic order).

@@ -23,9 +23,24 @@
 
 namespace ann {
 
-// Beam search over g where candidate distances come from the PQ codes.
-// `rerank` of the best compressed candidates are re-scored exactly; the
-// top-k of those are returned.
+// Distance view over PQ codes through a per-query ADC table.
+template <typename T>
+struct PQTableView {
+  const ProductQuantizer<T>* pq;
+  const std::vector<float>* table;
+  const std::uint8_t* codes;
+
+  float eval(PointId id) const { return pq->adc_eval(*table, codes, id); }
+  void prefetch(PointId id) const {
+    __builtin_prefetch(codes + static_cast<std::size_t>(id) *
+                                   pq->num_subspaces(), 0, 3);
+  }
+};
+
+// Beam search over g where candidate distances come from the PQ codes (the
+// shared traversal of core/beam_search.h, without (1+eps) pruning or a visit
+// limit). `rerank` of the best compressed candidates are re-scored exactly;
+// the top-k of those are returned.
 template <typename Metric, typename T>
 std::vector<PointId> pq_search_knn(const T* query, const PointSet<T>& points,
                                    const ProductQuantizer<T>& pq,
@@ -34,48 +49,14 @@ std::vector<PointId> pq_search_knn(const T* query, const PointSet<T>& points,
                                    std::span<const PointId> starts,
                                    const SearchParams& params,
                                    std::uint32_t rerank) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  auto table = pq.template adc_table<Metric>(query);
-
-  ApproxVisitedSet seen(L);
-  std::vector<Neighbor> beam;
-  std::vector<unsigned char> processed;
-
-  auto insert_candidate = [&](PointId id, float dist) {
-    Neighbor nb{id, dist};
-    auto it = std::lower_bound(beam.begin(), beam.end(), nb);
-    if (it != beam.end() && it->id == id && it->dist == dist) return;
-    if (beam.size() >= L) {
-      if (!(nb < beam.back())) return;
-      beam.pop_back();
-      processed.pop_back();
-    }
-    std::size_t pos = static_cast<std::size_t>(it - beam.begin());
-    beam.insert(beam.begin() + pos, nb);
-    processed.insert(processed.begin() + pos, 0);
-  };
-
-  for (PointId s : starts) {
-    if (seen.test_and_set(s)) continue;
-    insert_candidate(s, pq.adc_distance(table, codes.data(), s));
-  }
-  while (true) {
-    std::size_t pi = 0;
-    while (pi < beam.size() && processed[pi]) ++pi;
-    if (pi == beam.size()) break;
-    processed[pi] = 1;
-    PointId current = beam[pi].id;
-    float worst = beam.size() >= L ? beam.back().dist
-                                   : std::numeric_limits<float>::infinity();
-    for (PointId nb_id : g.neighbors(current)) {
-      if (seen.test_and_set(nb_id)) continue;
-      float d = pq.adc_distance(table, codes.data(), nb_id);
-      if (d > worst) continue;
-      insert_candidate(nb_id, d);
-      worst = beam.size() >= L ? beam.back().dist
-                               : std::numeric_limits<float>::infinity();
-    }
-  }
+  const auto table = pq.template adc_table<Metric>(query);
+  SearchParams walk{.beam_width = params.beam_width, .k = params.k};
+  const std::vector<Neighbor> beam =
+      internal::traverse<ApproxVisitedSet>(
+          PQTableView<T>{&pq, &table, codes.data()}, g, starts, walk,
+          std::max<std::uint32_t>(params.beam_width, 1), AdmitAll{},
+          local_search_scratch())
+          .frontier;
 
   // Exact re-rank of the best compressed candidates (one batched bump).
   std::size_t depth = std::min<std::size_t>(

@@ -836,22 +836,32 @@ class SearchService {
     std::vector<std::vector<Neighbor>> results;
     std::exception_ptr error;
     const FilterSpec& filter = batch[group[0]]->filter;
-    const std::uint64_t comps_before = DistanceCounter::total();
     const bool quantized = batch[group[0]]->quantized;
-    try {
+    std::uint64_t comps = 0;
+    {
+      // Both counter reads sit under the dispatch lock: the counter is
+      // process-global, so a read outside it would take in the evals of
+      // another service's concurrent dispatch. Deltas, not a reset: a
+      // DistanceCounterScope may be live around the whole serving run.
       std::lock_guard<std::mutex> lock(internal::serving_dispatch_mutex());
-      if (quantized) {
-        results =
-            index->template quantized_batch_search<T>(queries, effective);
-      } else if (filter.active()) {
-        results = index->template filtered_batch_search<T>(queries, filter,
-                                                           effective);
-      } else {
-        results = index->template batch_search<T>(queries, effective);
+      const std::uint64_t comps_before = DistanceCounter::total();
+      try {
+        if (quantized) {
+          results =
+              index->template quantized_batch_search<T>(queries, effective);
+        } else if (filter.active()) {
+          results = index->template filtered_batch_search<T>(queries, filter,
+                                                             effective);
+        } else {
+          results = index->template batch_search<T>(queries, effective);
+        }
+      } catch (...) {
+        error = std::current_exception();
       }
-    } catch (...) {
-      error = std::current_exception();
+      const std::uint64_t comps_after = DistanceCounter::total();
+      if (comps_after >= comps_before) comps = comps_after - comps_before;
     }
+    distance_comps_.fetch_add(comps, std::memory_order_relaxed);
     if (quantized) {
       quantized_.fetch_add(group.size(), std::memory_order_relaxed);
     }
@@ -866,13 +876,6 @@ class SearchService {
       selectivity_micro_.fetch_add(
           static_cast<std::uint64_t>(sel * 1e6) * group.size(),
           std::memory_order_relaxed);
-    }
-    // Counter deltas, not a reset: the counter is process-global and a
-    // DistanceCounterScope may be live around the whole serving run.
-    const std::uint64_t comps_after = DistanceCounter::total();
-    if (comps_after >= comps_before) {
-      distance_comps_.fetch_add(comps_after - comps_before,
-                                std::memory_order_relaxed);
     }
     const auto now = std::chrono::steady_clock::now();
     for (std::size_t g = 0; g < group.size(); ++g) {

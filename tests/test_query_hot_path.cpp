@@ -3,6 +3,8 @@
 //     id that later re-enters the beam; the processed-id guard keeps
 //     result.visited (the construction-time prune pool) duplicate-free by
 //     construction instead of by implication from beam eviction policy,
+//     on the plain, filtered and quantized entries alike,
+//   * an always-true predicate reproduces the unfiltered traversal,
 //   * per-thread SearchScratch pooling must never leak state between
 //     searches (different beam widths, interleaved searches, explicit vs
 //     pooled scratch),
@@ -23,6 +25,7 @@
 #include "core/distance.h"
 #include "core/ground_truth.h"
 #include "core/stats.h"
+#include "quant/quantized_store.h"
 
 namespace {
 
@@ -71,6 +74,8 @@ TEST(BeamSearchDuplicates, VisitedListIsDuplicateFreeUnderCollisions) {
   auto ps = ann::make_uniform<std::uint8_t>(2000, 8, 0, 255, 91);
   auto g = knn_graph(ps, 8);
   auto queries = ann::make_uniform<std::uint8_t>(40, 8, 0, 255, 92);
+  auto store = ann::QuantizedStore<EuclideanSquared, std::uint8_t>::build(
+      ps, {.kind = ann::QuantKind::kInt8});
   SearchParams prm{.beam_width = 3, .k = 3};
   std::vector<PointId> starts{0};
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -87,6 +92,54 @@ TEST(BeamSearchDuplicates, VisitedListIsDuplicateFreeUnderCollisions) {
                                   ExactVisitedSet>(queries[q], ps, g, starts,
                                                    prm);
     EXPECT_TRUE(no_duplicate_ids(exact.visited)) << "query " << q;
+
+    // The filtered and quantized entries share the same guard.
+    auto filtered = ann::filtered_beam_search<EuclideanSquared>(
+        queries[q], ps, g, starts, prm, [](PointId id) { return id % 2 == 0; });
+    EXPECT_TRUE(no_duplicate_ids(filtered.visited)) << "query " << q;
+    EXPECT_TRUE(no_duplicate_ids(filtered.frontier)) << "query " << q;
+    ann::SearchScratch& scratch = ann::local_search_scratch();
+    auto qv = store.bind(queries[q], scratch);
+    auto quantized = ann::quantized_beam_search(qv, g, starts, prm, scratch);
+    EXPECT_TRUE(no_duplicate_ids(quantized.visited)) << "query " << q;
+    EXPECT_TRUE(no_duplicate_ids(quantized.frontier)) << "query " << q;
+  }
+}
+
+TEST(BeamSearchDuplicates, AlwaysTruePredicateMatchesUnfilteredTraversal) {
+  // With every point admissible and no widening, filtered search walks the
+  // same beam: same visited list, same eval count, and the same top-k when
+  // k <= beam_width (the matched list keeps max(L, k) entries by design, so
+  // k > L is not comparable).
+  auto ps = ann::make_uniform<std::uint8_t>(1500, 8, 0, 255, 97);
+  auto g = knn_graph(ps, 8);
+  auto queries = ann::make_uniform<std::uint8_t>(20, 8, 0, 255, 98);
+  std::vector<PointId> starts{0};
+  for (std::uint32_t beam : {4u, 16u, 48u}) {
+    for (std::uint32_t k : {1u, 4u, 10u}) {
+      if (k > beam) continue;
+      for (float eps : {0.0f, 0.2f}) {
+        SearchParams prm{.beam_width = beam, .k = k, .epsilon = eps};
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          ann::DistanceCounterScope plain_scope;
+          auto plain = ann::beam_search<EuclideanSquared>(queries[q], ps, g,
+                                                          starts, prm);
+          std::uint64_t plain_evals = plain_scope.count();
+          ann::DistanceCounterScope filtered_scope;
+          auto filtered = ann::filtered_beam_search<EuclideanSquared>(
+              queries[q], ps, g, starts, prm, [](PointId) { return true; });
+          std::uint64_t filtered_evals = filtered_scope.count();
+          EXPECT_EQ(filtered.visited, plain.visited) << "query " << q;
+          EXPECT_EQ(filtered_evals, plain_evals) << "query " << q;
+          ASSERT_GE(filtered.frontier.size(), std::min<std::size_t>(
+                                                  k, plain.frontier.size()));
+          for (std::size_t i = 0; i < k && i < plain.frontier.size(); ++i) {
+            EXPECT_EQ(filtered.frontier[i], plain.frontier[i])
+                << "beam " << beam << " k " << k << " query " << q;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -10,6 +10,8 @@
 //     saved index is rejected with ann::corrupt_data at load, across all
 //     nine registered backends (with label and quant payloads riding
 //     along), while v1 containers still load;
+//   * v1 containers (no checksums) are validated: out-of-range neighbour
+//     ids and start points are rejected, not searched;
 //   * kill-during-save: a save killed at ANY io call site (nth sweep over
 //     every fault-injection check the save performs) leaves the previously
 //     published container loadable and bit-exact, with no temp litter;
@@ -366,6 +368,28 @@ TEST(ContainerChecksums, AllBackendsRejectCorruptionEverywhere) {
 // Backward compatibility: a version-1 container (no checksum trailer) still
 // loads. Fabricated from a v2 image by stripping the trailer and patching
 // the header version — byte-identical to what the v1 writer produced.
+// Cut a saved v2 container back to the v1 image the v1 writer would have
+// produced: strip the checksum trailer and patch the header version.
+// Returns the header length (the trailer's first section), i.e. the offset
+// of the backend payload.
+std::size_t strip_to_v1(std::vector<unsigned char>& bytes) {
+  EXPECT_GE(bytes.size(), ann::internal::kChecksumTailBytes);
+  // The fixed tail is [trailer_offset u64][magic u32]; the trailer body is
+  // [magic u32][version u32][count u32][(length u64, crc u32) x count].
+  std::uint32_t tail_magic = 0;
+  std::uint64_t trailer_offset = 0;
+  std::memcpy(&tail_magic, bytes.data() + bytes.size() - 4, 4);
+  std::memcpy(&trailer_offset, bytes.data() + bytes.size() - 12, 8);
+  EXPECT_EQ(tail_magic, ann::internal::kChecksumTrailerMagic);
+  EXPECT_LT(trailer_offset, bytes.size());
+  std::uint64_t header_bytes = 0;
+  std::memcpy(&header_bytes, bytes.data() + trailer_offset + 12, 8);
+  bytes.resize(trailer_offset);
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, 4);  // header version field
+  return static_cast<std::size_t>(header_bytes);
+}
+
 TEST(ContainerChecksums, V1ContainersStillLoad) {
   auto tiny = make_tiny(13);
   const std::string path = temp_path("reliability_v1.pann");
@@ -373,24 +397,48 @@ TEST(ContainerChecksums, V1ContainersStillLoad) {
   auto expected = tiny.index.batch_search(tiny.ds.queries, kEffort);
 
   auto bytes = read_file(path);
-  ASSERT_GE(bytes.size(), ann::internal::kChecksumTailBytes);
-  // The fixed tail is [trailer_offset u64][magic u32]; verify the magic and
-  // cut the file back to the payload the v1 writer would have produced.
-  std::uint32_t tail_magic = 0;
-  std::uint64_t trailer_offset = 0;
-  std::memcpy(&tail_magic, bytes.data() + bytes.size() - 4, 4);
-  std::memcpy(&trailer_offset, bytes.data() + bytes.size() - 12, 8);
-  ASSERT_EQ(tail_magic, ann::internal::kChecksumTrailerMagic);
-  ASSERT_LT(trailer_offset, bytes.size());
-  bytes.resize(trailer_offset);
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 4, &v1, 4);  // header version field
-
+  strip_to_v1(bytes);
   write_file(path, bytes);
   auto loaded = AnyIndex::load(path);
   std::remove(path.c_str());
   EXPECT_EQ(loaded.spec().algorithm, "diskann");
   EXPECT_EQ(loaded.batch_search(tiny.ds.queries, kEffort), expected);
+}
+
+// v1 containers carry no checksum, so their payloads must be validated, not
+// trusted: an out-of-range neighbour id or start point is rejected at load
+// instead of becoming an out-of-bounds read on the first search. The tiny
+// diskann payload is [n u64][d u64][n*d rows][start u32][n u32][deg u32]
+// [(size u32, ids) per node].
+TEST(ContainerValidation, V1OutOfRangeIdsAreRejected) {
+  auto tiny = make_tiny(14);
+  const std::string path = temp_path("reliability_v1_ids.pann");
+  tiny.index.save(path);
+  auto bytes = read_file(path);
+  const std::size_t payload = strip_to_v1(bytes);
+  const std::uint32_t n = static_cast<std::uint32_t>(tiny.ds.base.size());
+  const std::size_t start_at = payload + 16 + n * tiny.ds.base.dims();
+  const std::size_t node0_at = start_at + 12;
+  std::uint32_t node0_size = 0;
+  std::memcpy(&node0_size, bytes.data() + node0_at, 4);
+  ASSERT_GT(node0_size, 0u);
+
+  write_file(path, bytes);
+  ASSERT_NO_THROW(AnyIndex::load(path)) << "control: the v1 image loads";
+
+  for (std::uint32_t bad : {n, 0xfffffff0u}) {
+    auto mutant = bytes;
+    std::memcpy(mutant.data() + node0_at + 4, &bad, 4);
+    write_file(path, mutant);
+    EXPECT_THROW(AnyIndex::load(path), ann::corrupt_data)
+        << "neighbour id " << bad;
+
+    mutant = bytes;
+    std::memcpy(mutant.data() + start_at, &bad, 4);
+    write_file(path, mutant);
+    EXPECT_THROW(AnyIndex::load(path), ann::corrupt_data) << "start " << bad;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ContainerChecksums, GarbageAndEmptyFilesAreRejected) {

@@ -212,6 +212,56 @@ TEST(SearchService, ConcurrentSubmittersStillGetExactResults) {
   }
 }
 
+// Stats attribution: DistanceCounter is process-global, so two live services
+// must each count only their own dispatches. Every request is submitted and
+// awaited one at a time from two threads at once, so the two dispatchers
+// interleave as finely as possible; each service's distance count must
+// still equal what the same requests cost it alone.
+TEST(SearchService, ConcurrentServicesAttributeDistanceCountsSeparately) {
+  const auto& ds = dataset();
+  QueryParams qp{.beam_width = 32, .k = 10};
+  auto make_other = [&] {
+    AnyIndex index = make_index(
+        {.algorithm = "diskann", .metric = "euclidean", .dtype = "uint8",
+         .params = DiskANNParams{.degree_bound = 16, .beam_width = 32}});
+    index.build(ds.base);
+    return index;
+  };
+  const ServeParams sp{.max_batch = 4, .max_delay_ms = 0.5};
+  auto run = [&](SearchService<std::uint8_t>& service) {
+    for (std::size_t i = 0; i < ds.queries.size(); ++i) {
+      service.submit(ds.queries[static_cast<PointId>(i)], qp).get();
+    }
+    service.shutdown();
+    return service.stats().distance_comps;
+  };
+
+  std::uint64_t alone_a = 0, alone_b = 0;
+  {
+    SearchService<std::uint8_t> a(make_built_index(), sp);
+    alone_a = run(a);
+  }
+  {
+    SearchService<std::uint8_t> b(make_other(), sp);
+    alone_b = run(b);
+  }
+  ASSERT_GT(alone_a, 0u);
+  ASSERT_GT(alone_b, 0u);
+  ASSERT_NE(alone_a, alone_b);
+
+  for (int round = 0; round < 3; ++round) {
+    SearchService<std::uint8_t> a(make_built_index(), sp);
+    SearchService<std::uint8_t> b(make_other(), sp);
+    std::uint64_t together_a = 0, together_b = 0;
+    std::thread ta([&] { together_a = run(a); });
+    std::thread tb([&] { together_b = run(b); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(together_a, alone_a) << "round " << round;
+    EXPECT_EQ(together_b, alone_b) << "round " << round;
+  }
+}
+
 // --- micro-batcher flush triggers --------------------------------------------
 
 // Deadline flush: with a huge max_batch, a single trickle request must not

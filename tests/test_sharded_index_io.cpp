@@ -1,26 +1,18 @@
-// Sharded (divide-and-merge) builds and whole-index serialization.
+// Sharded (divide-and-merge) builds. Whole-index persistence is covered by
+// the container round-trips in test_any_index and the bad-magic/truncation
+// cases in test_reliability.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "algorithms/diskann.h"
-#include "algorithms/hnsw.h"
 #include "algorithms/sharded_build.h"
 #include "core/dataset.h"
-#include "core/index_io.h"
 #include "test_helpers.h"
 
 namespace {
 
 using ann::DiskANNParams;
 using ann::EuclideanSquared;
-using ann::PointId;
 using ann::ShardedBuildParams;
-
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(ShardedBuild, GraphInvariants) {
   auto ds = ann::make_bigann_like(1200, 1, 3);
@@ -74,73 +66,6 @@ TEST(ShardedBuild, DeterministicAcrossWorkerCounts) {
   auto b = ann::build_sharded_diskann<EuclideanSquared>(ds.base, prm);
   parlay::set_num_workers(0);
   EXPECT_TRUE(a.graph == b.graph);
-}
-
-TEST(IndexIO, GraphIndexRoundTrip) {
-  auto ds = ann::make_bigann_like(600, 20, 11);
-  DiskANNParams prm{.degree_bound = 16, .beam_width = 32};
-  auto ix = ann::build_diskann<EuclideanSquared>(ds.base, prm);
-  auto path = temp_path("ann_graph_index.pann");
-  ann::save_index(ix, path);
-  auto loaded = ann::load_index<EuclideanSquared, std::uint8_t>(path);
-  EXPECT_TRUE(ix.graph == loaded.graph);
-  EXPECT_EQ(ix.start, loaded.start);
-  // Served results identical.
-  ann::SearchParams sp{.beam_width = 32, .k = 10};
-  for (std::size_t q = 0; q < ds.queries.size(); ++q) {
-    EXPECT_EQ(ix.query(ds.queries[static_cast<PointId>(q)], ds.base, sp),
-              loaded.query(ds.queries[static_cast<PointId>(q)], ds.base, sp));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(IndexIO, HnswIndexRoundTrip) {
-  auto ds = ann::make_bigann_like(800, 20, 13);
-  ann::HNSWParams prm{.m = 12, .ef_construction = 32};
-  auto ix = ann::build_hnsw<EuclideanSquared>(ds.base, prm);
-  auto path = temp_path("ann_hnsw_index.panh");
-  ann::save_hnsw_index(ix, path);
-  auto loaded = ann::load_hnsw_index<EuclideanSquared, std::uint8_t>(path);
-  ASSERT_EQ(ix.layers.size(), loaded.layers.size());
-  for (std::size_t l = 0; l < ix.layers.size(); ++l) {
-    EXPECT_TRUE(ix.layers[l] == loaded.layers[l]);
-  }
-  EXPECT_EQ(ix.entry, loaded.entry);
-  EXPECT_EQ(ix.entry_level, loaded.entry_level);
-  EXPECT_EQ(ix.levels, loaded.levels);
-  ann::SearchParams sp{.beam_width = 32, .k = 10};
-  for (std::size_t q = 0; q < ds.queries.size(); ++q) {
-    EXPECT_EQ(ix.query(ds.queries[static_cast<PointId>(q)], ds.base, sp),
-              loaded.query(ds.queries[static_cast<PointId>(q)], ds.base, sp));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(IndexIO, WrongMagicRejected) {
-  auto path = temp_path("ann_bogus_index.pann");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::uint32_t junk[4] = {0xdeadbeef, 1, 0, 0};
-  std::fwrite(junk, sizeof(junk), 1, f);
-  std::fclose(f);
-  EXPECT_THROW((ann::load_index<EuclideanSquared, std::uint8_t>(path)),
-               std::runtime_error);
-  EXPECT_THROW((ann::load_hnsw_index<EuclideanSquared, std::uint8_t>(path)),
-               std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(IndexIO, TruncatedIndexRejected) {
-  auto ds = ann::make_bigann_like(200, 1, 15);
-  DiskANNParams prm{.degree_bound = 8, .beam_width = 16};
-  auto ix = ann::build_diskann<EuclideanSquared>(ds.base, prm);
-  auto path = temp_path("ann_trunc_index.pann");
-  ann::save_index(ix, path);
-  // Truncate to half.
-  auto full = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full / 2);
-  EXPECT_THROW((ann::load_index<EuclideanSquared, std::uint8_t>(path)),
-               std::runtime_error);
-  std::remove(path.c_str());
 }
 
 }  // namespace
