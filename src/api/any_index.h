@@ -43,7 +43,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -347,14 +349,16 @@ class AnyIndex {
   // Predicate-constrained top-k: the k nearest points matching `filter`.
   // May return fewer than k when the filter admits fewer matches (an empty
   // vector when it admits none). An inactive filter degrades to search().
-  // filter_beam_factor <= 0 resolves to auto_filter_beam_factor of the
-  // filter's estimated selectivity here — a pure function of (spec, store),
-  // so the auto choice preserves determinism.
+  // filter_beam_factor <= 0 (-inf included) resolves to
+  // auto_filter_beam_factor of the filter's estimated selectivity here — a
+  // pure function of (spec, store), so the auto choice preserves
+  // determinism. A NaN or +inf factor throws std::invalid_argument.
   template <typename T>
   std::vector<Neighbor> filtered_search(const T* query,
                                         const FilterSpec& filter,
                                         const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("filtered_search");
+    check_filter_factor(params, "filtered_search");
     auto p = clamp_k(params, backend.num_points());
     if (!p) return {};
     if (!filter.active()) return backend.search(query, *p);
@@ -372,6 +376,7 @@ class AnyIndex {
       const PointSet<T>& queries, const FilterSpec& filter,
       const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("filtered_batch_search");
+    check_filter_factor(params, "filtered_batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -403,6 +408,7 @@ class AnyIndex {
           " queries but " + std::to_string(filters.size()) + " filters");
     }
     const TypedBackend<T>& backend = typed<T>("filtered_batch_search");
+    check_filter_factor(params, "filtered_batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -542,6 +548,17 @@ class AnyIndex {
     p.k = static_cast<std::uint32_t>(
         std::min<std::size_t>(p.k, num_points));
     return p;
+  }
+
+  // A NaN or +inf filter_beam_factor has no traversal width; reject it on
+  // the calling thread, before any backend (or parallel fan-out) runs.
+  static void check_filter_factor(const QueryParams& params, const char* op) {
+    const float f = params.filter_beam_factor;
+    if (std::isnan(f) || f == std::numeric_limits<float>::infinity()) {
+      throw std::invalid_argument(std::string("AnyIndex::") + op +
+                                  ": filter_beam_factor must be finite or "
+                                  "<= 0 (AUTO), got " + std::to_string(f));
+    }
   }
 
   static void resolve_filter_factor(QueryParams& params,

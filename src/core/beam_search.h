@@ -31,6 +31,19 @@
 //   * Neighbor expansion is two-phase: gather the unprocessed neighbor ids
 //     (issuing view prefetches), then evaluate distances — by the time the
 //     kernel runs, the rows are on their way into cache.
+//   * The beam is two flat arrays (sorted entries, processed flags) sized
+//     once to Lt + 1 and addressed by raw pointer with an explicit size.
+//     A cursor keeps the invariant "every entry before it is processed":
+//     an insert before it moves it back to the inserted slot, and each hop
+//     advances it past the entry it claims, so no hop rescans the beam for
+//     the first unprocessed entry.
+//   * An insert is one flat step: a branch-free binary search that probes
+//     in libstdc++ std::lower_bound's order (same slot even for NaN
+//     distances), the dedupe/capacity/eviction rules, and one memmove per
+//     array.
+//   * Right after claiming a node, the loop prefetches the adjacency row
+//     of the next unprocessed entry (Graph::prefetch_neighbors), so the
+//     next hop's edge read overlaps this hop's distance evaluations.
 //   * A node is processed at most once, BY CONSTRUCTION: an exact
 //     processed-id set guards the expansion, so result.visited (the prune
 //     candidate pool during construction) never holds duplicates even when
@@ -45,9 +58,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -241,12 +256,22 @@ SearchResult traverse(const View& view_in, const Graph& g,
   std::optional<VisitedSet> own_seen;
   VisitedSet& seen = seen_table(scratch, own_seen, Lt);
 
-  std::vector<Neighbor>& beam = scratch.beam;
-  std::vector<unsigned char>& processed = scratch.processed;
-  beam.clear();
-  beam.reserve(Lt + 1);
-  processed.clear();
-  processed.reserve(Lt + 1);
+  // The beam is a flat sorted array of at most Lt entries with a parallel
+  // processed-flag array: both pooled buffers are sized once to Lt + 1 and
+  // addressed through raw pointers with an explicit size.
+  if (scratch.beam.size() < Lt + 1) {
+    scratch.beam.resize(Lt + 1);
+    scratch.processed.resize(Lt + 1);
+  }
+  static_assert(std::is_trivially_copyable_v<Neighbor>);  // memmoved below
+  Neighbor* const beam = scratch.beam.data();
+  unsigned char* const processed = scratch.processed.data();
+  std::size_t size = 0;
+  // beam[cursor] is the closest unprocessed entry (cursor == size when there
+  // is none): every entry before it is processed, an insert before it moves
+  // it back to the new entry, and each hop advances it past the entry it
+  // claims.
+  std::size_t cursor = 0;
   scratch.processed_ids.reset(
       std::min<std::size_t>(params.visit_limit, 4 * Lt));
 
@@ -255,17 +280,32 @@ SearchResult traverse(const View& view_in, const Graph& g,
   std::uint64_t evals = 0;
 
   auto insert_candidate = [&](PointId id, float dist) {
-    Neighbor nb{id, dist};
-    auto it = std::lower_bound(beam.begin(), beam.end(), nb);
-    if (it != beam.end() && it->id == id && it->dist == dist) return;
-    if (beam.size() >= Lt) {
-      if (!(nb < beam.back())) return;
-      beam.pop_back();
-      processed.pop_back();
+    const Neighbor nb{id, dist};
+    // Branch-free lower_bound under (dist, id). It probes in the same order
+    // as libstdc++'s std::lower_bound, so the slot is identical even for
+    // input that is not partitioned (NaN distances).
+    const Neighbor* first = beam;
+    std::size_t len = size;
+    while (len > 0) {
+      const std::size_t half = len >> 1;
+      const Neighbor& mid = first[half];
+      const bool less =
+          (mid.dist < dist) | ((mid.dist == dist) & (mid.id < id));
+      first += less ? half + 1 : 0;
+      len = less ? len - half - 1 : half;
     }
-    std::size_t pos = static_cast<std::size_t>(it - beam.begin());
-    beam.insert(beam.begin() + pos, nb);
-    processed.insert(processed.begin() + pos, 0);
+    const std::size_t pos = static_cast<std::size_t>(first - beam);
+    if (pos < size && beam[pos].id == id && beam[pos].dist == dist) return;
+    if (size >= Lt) {
+      if (!(nb < beam[size - 1])) return;
+      --size;  // evict the worst entry
+    }
+    std::memmove(beam + pos + 1, beam + pos, (size - pos) * sizeof(Neighbor));
+    std::memmove(processed + pos + 1, processed + pos, size - pos);
+    beam[pos] = nb;
+    processed[pos] = 0;
+    ++size;
+    if (pos < cursor) cursor = pos;
   };
 
   for (PointId s : starts) {
@@ -276,14 +316,13 @@ SearchResult traverse(const View& view_in, const Graph& g,
     insert_candidate(s, d);
   }
 
-  while (result.visited.size() < params.visit_limit) {
-    // Closest unprocessed beam entry.
-    std::size_t pi = 0;
-    while (pi < beam.size() && processed[pi]) ++pi;
-    if (pi == beam.size()) break;
-
-    processed[pi] = 1;
-    Neighbor current = beam[pi];
+  while (cursor < size && result.visited.size() < params.visit_limit) {
+    processed[cursor] = 1;
+    const Neighbor current = beam[cursor];
+    while (cursor < size && processed[cursor]) ++cursor;
+    // Warm the adjacency row the next hop will most likely expand, so its
+    // read overlaps this hop's distance evaluations.
+    if (cursor < size) g.prefetch_neighbors(beam[cursor].id);
     // Re-processing guard: the seen-table may drop an id on a collision, so
     // it alone cannot keep an already-expanded node from re-entering the
     // beam; this exact set can. The duplicate-free visited contract is
@@ -293,9 +332,9 @@ SearchResult traverse(const View& view_in, const Graph& g,
     result.visited.push_back(current);
 
     // (1+eps) pruning radius: current k-th nearest seen (or worst if < k).
-    float dk = beam.size() >= k ? beam[k - 1].dist : beam.back().dist;
+    float dk = size >= k ? beam[k - 1].dist : beam[size - 1].dist;
     float radius = dk < 0 ? dk / cut : dk * cut;  // handles negative (MIPS)
-    float worst = beam.size() >= Lt ? beam.back().dist : kInf;
+    float worst = size >= Lt ? beam[size - 1].dist : kInf;
 
     // Phase 1: gather unseen neighbors, prefetching what eval will read.
     scratch.gather.clear();
@@ -313,13 +352,13 @@ SearchResult traverse(const View& view_in, const Graph& g,
       if (d > worst) continue;
       if (params.epsilon > 0.0f && d > radius) continue;
       insert_candidate(nb_id, d);
-      worst = beam.size() >= Lt ? beam.back().dist : kInf;
+      worst = size >= Lt ? beam[size - 1].dist : kInf;
     }
   }
 
   DistanceCounter::bump(evals);
   if constexpr (kAdmitAll) {
-    result.frontier.assign(beam.begin(), beam.end());
+    result.frontier.assign(beam, beam + size);
   } else {
     result.frontier.assign(admit.matched.begin(), admit.matched.end());
   }
@@ -348,7 +387,8 @@ SearchResult quantized_beam_search(const QuantView& qv, const Graph& g,
 // widens the traversal beam to ceil(L * factor): at selectivity s only ~s of
 // the traversal work lands on admissible points, so the beam needs
 // proportionally more slack (<= 1 means no widening at this layer; AnyIndex
-// resolves AUTO before calling down here).
+// resolves AUTO before calling down here). A factor whose widened width has
+// no size_t value (NaN, +inf) throws std::invalid_argument.
 template <typename Metric, typename T, typename Pred,
           typename VisitedSet = ApproxVisitedSet>
 SearchResult filtered_beam_search(const T* query, const PointSet<T>& points,
@@ -359,8 +399,16 @@ SearchResult filtered_beam_search(const T* query, const PointSet<T>& points,
   SearchScratch& scratch = local_search_scratch();
   const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
   const float factor = std::max(params.filter_beam_factor, 1.0f);
-  const std::size_t Lt = std::max<std::size_t>(
-      L, static_cast<std::size_t>(std::ceil(static_cast<double>(L) * factor)));
+  const double wide = std::ceil(static_cast<double>(L) * factor);
+  // Range-checked before the conversion: NaN and widths past size_t's range
+  // have no integer value.
+  if (!(wide < static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    throw std::invalid_argument(
+        "filtered_beam_search: ceil(beam_width * filter_beam_factor) is not "
+        "a representable width");
+  }
+  const std::size_t Lt =
+      std::max<std::size_t>(L, static_cast<std::size_t>(wide));
   const std::size_t cap = std::max<std::size_t>(L, params.k);
   scratch.matched.clear();
   scratch.matched.reserve(cap + 1);

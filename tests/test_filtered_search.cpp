@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -302,6 +303,48 @@ TEST(FilteredConformance, PredicateOnlyFilterNeedsNoStore) {
   auto labeled = FilterSpec::match_any({LabelId{0}});
   EXPECT_THROW(index.filtered_search(ds.queries[0], labeled, kEffort),
                std::invalid_argument);
+}
+
+// A NaN or +inf filter_beam_factor has no traversal width: every filtered
+// entry point rejects it before dispatch (the dynamic backend's tombstone
+// widening included), and the core search range-checks the width it
+// derives. -inf is <= 0, so it still means AUTO.
+TEST(FilteredConformance, NonFiniteBeamFactorRejected) {
+  auto ds = small_dataset();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::string algorithm : {"diskann", "dynamic_diskann"}) {
+    SCOPED_TRACE(algorithm);
+    auto index = build_labeled(algorithm, ds);
+    auto spec = FilterSpec::match_any(index.labels(), {"decile_3"});
+    std::vector<FilterSpec> filters(ds.queries.size(), spec);
+    for (float bad : {std::numeric_limits<float>::quiet_NaN(), inf}) {
+      QueryParams p = kEffort;
+      p.filter_beam_factor = bad;
+      EXPECT_THROW(index.filtered_search(ds.queries[0], spec, p),
+                   std::invalid_argument);
+      EXPECT_THROW(index.filtered_batch_search(ds.queries, spec, p),
+                   std::invalid_argument);
+      EXPECT_THROW(index.filtered_batch_search(
+                       ds.queries, std::span<const FilterSpec>(filters), p),
+                   std::invalid_argument);
+    }
+    QueryParams neg = kEffort;
+    neg.filter_beam_factor = -inf;
+    EXPECT_EQ(index.filtered_search(ds.queries[0], spec, neg),
+              index.filtered_search(ds.queries[0], spec, kEffort));
+  }
+
+  ann::Graph g(ds.base.size(), 4);
+  const PointId start = 0;
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(), inf}) {
+    QueryParams p = kEffort;
+    p.filter_beam_factor = bad;
+    EXPECT_THROW(ann::filtered_beam_search<ann::EuclideanSquared>(
+                     ds.queries[0], ds.base, g,
+                     std::span<const PointId>(&start, 1), p,
+                     [](PointId) { return true; }),
+                 std::invalid_argument);
+  }
 }
 
 // 1-vs-N-worker byte identity on the native path: filtered_batch_search
